@@ -4,8 +4,9 @@ The serve tier's reason to exist: a resident service skips SPEX
 inference and checker compilation on every request, so sustained
 validation throughput under concurrent clients must dwarf the cold
 CLI path (`python -m repro.reporting.cli check`), which pays the full
-pipeline per invocation.  The measured ratio is recorded in
-``BENCH_serve.json`` via the canonical `tools/bench_json.py` writer.
+pipeline per invocation.  The measured ratio is written to
+``.bench_build/BENCH_serve.json`` via the canonical
+`tools/bench_json.py` writer; `make bench-record` commits it.
 """
 
 import asyncio
@@ -25,7 +26,9 @@ from bench_json import write_payload  # noqa: E402
 
 from repro.serve import BackgroundServer, ServeClient  # noqa: E402
 
-OUTPUT = REPO_ROOT / "BENCH_serve.json"
+# Git-ignored: a test run never rewrites the committed BENCH_serve.json;
+# `make bench-record` copies this file over it.
+OUTPUT = REPO_ROOT / ".bench_build" / "BENCH_serve.json"
 
 N_CLIENTS = 8
 CHECKS_PER_CLIENT = 150
@@ -142,6 +145,7 @@ def test_sustained_serve_throughput_vs_cold_cli(cold_cli_rate):
     )
     assert nginx_flagged == nginx_checks // 2
 
+    OUTPUT.parent.mkdir(exist_ok=True)
     write_payload(
         OUTPUT,
         {

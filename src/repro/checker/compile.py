@@ -171,6 +171,12 @@ class CompiledChecker:
     # in every later validation (see module docstring: calibration).
     suppressed: frozenset[tuple[str, str]] = frozenset()
     calibration: tuple[Diagnostic, ...] = ()
+    # `known_params` in sorted order, built once: the near-miss search
+    # for every unknown name reads it.
+    known_sorted: tuple[str, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.known_sorted = tuple(sorted(self.known_params))
 
     def check(self, config_text: str):
         """Convenience alias for `validate_config(self, text)`."""

@@ -194,7 +194,7 @@ def _unknown_params(checker, values: dict[str, tuple[str, int]]):
         if name in checker.known_params:
             continue
         close = difflib.get_close_matches(
-            name, sorted(checker.known_params), n=1, cutoff=0.8
+            name, checker.known_sorted, n=1, cutoff=0.8
         )
         suggestion = (
             f"did you mean {close[0]!r}?"

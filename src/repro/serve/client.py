@@ -54,10 +54,11 @@ class ServeClient:
     ) -> None:
         self._reader = reader
         self._writer = writer
-        # How long one op may wait for its response line (None = wait
-        # forever).  A blown timeout surfaces as a typed
-        # `ServeError("deadline")`, never a hang or a bare
-        # `TimeoutError` the caller has to know asyncio internals for.
+        # How long one op - sending the request and reading its
+        # response line - may take (None = wait forever).  A blown
+        # timeout surfaces as a typed `ServeError("deadline")`, never a
+        # hang or a bare `TimeoutError` the caller has to know asyncio
+        # internals for.
         self.read_timeout = read_timeout
 
     @classmethod
@@ -69,16 +70,9 @@ class ServeClient:
         read_timeout: float | None = None,
     ) -> "ServeClient":
         try:
-            if connect_timeout is None:
+            async with asyncio.timeout(connect_timeout):
                 reader, writer = await asyncio.open_connection(
                     host, port, limit=MAX_LINE_BYTES
-                )
-            else:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(
-                        host, port, limit=MAX_LINE_BYTES
-                    ),
-                    connect_timeout,
                 )
         except asyncio.TimeoutError:
             raise ServeError(
@@ -109,16 +103,11 @@ class ServeClient:
             (json.dumps(message) + "\n").encode("utf-8")
         )
         try:
-            if self.read_timeout is None:
+            # One deadline for the whole op, on this task: no Task per
+            # await, and `timeout(None)` never expires.
+            async with asyncio.timeout(self.read_timeout):
                 await self._writer.drain()
                 line = await self._reader.readline()
-            else:
-                await asyncio.wait_for(
-                    self._writer.drain(), self.read_timeout
-                )
-                line = await asyncio.wait_for(
-                    self._reader.readline(), self.read_timeout
-                )
         except asyncio.TimeoutError:
             raise ServeError(
                 "deadline",

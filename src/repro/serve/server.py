@@ -94,13 +94,14 @@ class ValidationServer:
         self.drain_timeout = drain_timeout
         self._server: asyncio.AbstractServer | None = None
         self._closing = asyncio.Event()
-        self._connections: set[asyncio.Task] = set()
+        # Open connections: handler task -> its stream writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     async def start(self) -> None:
         if not self.service.started:
             await self.service.start()
         self._server = await asyncio.start_server(
-            self._handle_connection,
+            self._accept,
             host=self.host,
             port=self.port,
             limit=MAX_LINE_BYTES,
@@ -114,25 +115,44 @@ class ValidationServer:
 
     async def stop(self) -> None:
         self._closing.set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Idle connections block on readline forever; cancel them
-        # deterministically instead of leaving the loop teardown to do
-        # it mid-write.
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(
-                *self._connections, return_exceptions=True
-            )
+        server, self._server = self._server, None
+        if server is not None:
+            # Stop accepting, then give connections the listener has
+            # already accepted the two loop turns they need to reach
+            # `_accept` before the listener closes: on Python 3.11 a
+            # connection still being set up when its server closes
+            # fails an internal assertion and leaks its socket.
+            loop = asyncio.get_running_loop()
+            for sock in server.sockets:
+                loop.remove_reader(sock.fileno())
+            for _ in range(2):
+                await asyncio.sleep(0)
+            server.close()
+        # Idle connections block on readline forever.  Aborting their
+        # transports ends each handler the ordinary way - `readline()`
+        # sees EOF, a pending drain raises ConnectionResetError - so no
+        # handler is cancelled mid-await.  Responses not yet sent are
+        # dropped.
+        handlers = dict(self._connections)
+        for writer in handlers.values():
+            writer.transport.abort()
+        if handlers:
+            await asyncio.wait(handlers)
+        if server is not None:
+            await server.wait_closed()
         await self.service.close()
 
+    def _accept(self, reader, writer) -> None:
+        """Start a connection's handler.  Runs synchronously as the
+        connection is made, so `stop()` sees every handler, started or
+        not; a handler that starts after `stop()` ends at once."""
+        task = asyncio.get_running_loop().create_task(
+            self._handle_connection(reader, writer)
+        )
+        self._connections[task] = writer
+        task.add_done_callback(self._connections.pop)
+
     async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
         try:
             while not self._closing.is_set():
                 try:
@@ -161,21 +181,16 @@ class ValidationServer:
         except ConnectionResetError:
             pass
         finally:
-            if task is not None:
-                self._connections.discard(task)
-            # No `await wait_closed()` here: the handler may be mid-
-            # cancellation (see `stop`), and the transport finishes
+            # No `await wait_closed()` here: the transport finishes
             # closing on the loop without being awaited.
             writer.close()
 
     async def _drain(self, writer) -> bool:
         """Flush the write buffer, bounded by `drain_timeout`.  False
         means the client read too slowly and must be dropped."""
-        if self.drain_timeout is None:
-            await writer.drain()
-            return True
         try:
-            await asyncio.wait_for(writer.drain(), self.drain_timeout)
+            async with asyncio.timeout(self.drain_timeout):
+                await writer.drain()
             return True
         except asyncio.TimeoutError:
             self.service.registry.inc("serve.slow_client_drops")

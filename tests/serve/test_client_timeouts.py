@@ -3,6 +3,7 @@ unreachable one) surfaces as a typed `ServeError("deadline")`, never
 as an indefinite hang or a bare `asyncio.TimeoutError`."""
 
 import asyncio
+import time
 
 import pytest
 from serveutil import run
@@ -48,6 +49,73 @@ class TestReadTimeout:
         error = run(scenario())
         assert error.code == "deadline"
         assert "read" in error.message and "timeout" in error.message
+
+    def test_one_deadline_per_op_and_no_helper_tasks(self):
+        """`read_timeout` bounds the whole op with one scope on the
+        caller's task: exactly one typed error, after about
+        `read_timeout`, and no Task created to enforce it."""
+        read_timeout = 0.3
+
+        async def scenario():
+            server, port = await _silent_server()
+            try:
+                client = await ServeClient.connect(
+                    "127.0.0.1", port, read_timeout=read_timeout
+                )
+                loop = asyncio.get_running_loop()
+                created = []
+
+                def counting_factory(loop, coro, **kwargs):
+                    created.append(coro)
+                    return asyncio.Task(coro, loop=loop, **kwargs)
+
+                loop.set_task_factory(counting_factory)
+                begun = time.perf_counter()
+                try:
+                    with pytest.raises(ServeError) as excinfo:
+                        await client.ping()
+                    return excinfo.value, time.perf_counter() - begun, created
+                finally:
+                    loop.set_task_factory(None)
+                    await client.close()
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        error, elapsed, created = run(scenario())
+        assert error.code == "deadline"
+        assert read_timeout <= elapsed < 3 * read_timeout
+        assert created == []
+
+    def test_deadline_spans_send_and_reply(self):
+        """A slow send eats into the same budget as the reply: the op
+        ends at `read_timeout`, not at send time plus `read_timeout`."""
+        read_timeout = 0.6
+        send_seconds = 0.4
+
+        class _SlowWriter:
+            def write(self, data):
+                pass
+
+            async def drain(self):
+                await asyncio.sleep(send_seconds)
+
+        class _SilentReader:
+            async def readline(self):
+                await asyncio.sleep(3600)
+
+        async def scenario():
+            client = ServeClient(
+                _SilentReader(), _SlowWriter(), read_timeout=read_timeout
+            )
+            begun = time.perf_counter()
+            with pytest.raises(ServeError) as excinfo:
+                await client.ping()
+            return excinfo.value, time.perf_counter() - begun
+
+        error, elapsed = run(scenario())
+        assert error.code == "deadline"
+        assert read_timeout <= elapsed < read_timeout + send_seconds / 2
 
     def test_no_timeout_by_default(self):
         client = ServeClient(reader=None, writer=None)

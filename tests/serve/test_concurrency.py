@@ -11,6 +11,7 @@ import asyncio
 import json
 
 from repro.serve import ServeClient
+from repro.serve.service import INLINE_LIMIT
 from repro.systems.registry import iter_systems
 
 from serveutil import BAD_MYSQL, cold_reference, probe_configs, run
@@ -120,6 +121,14 @@ class TestInProcessConcurrency:
     ):
         submissions = 16
 
+        def text(i: int) -> str:
+            # Every third text is over the inline limit, so pooled and
+            # inline validations interleave under one identity.
+            line = f"ft_min_word_len = {5 + i % 3}\n"
+            if i % 3:
+                return line
+            return line * (INLINE_LIMIT // len(line) + 1)
+
         async def main():
             service = make_service(systems=["mysql"])
             await service.start()
@@ -127,9 +136,7 @@ class TestInProcessConcurrency:
                 responses = await asyncio.gather(
                     *(
                         service.check_config(
-                            "mysql",
-                            f"ft_min_word_len = {5 + i % 3}\n",
-                            config_id="shared",
+                            "mysql", text(i), config_id="shared"
                         )
                         for i in range(submissions)
                     )
@@ -146,6 +153,9 @@ class TestInProcessConcurrency:
             range(1, submissions + 1)
         )
         assert history.revision == submissions
+        assert all(
+            d.previous_revision == d.revision - 1 for d in history.deltas
+        )
 
     def test_concurrent_distinct_identities_stay_independent(
         self, make_service

@@ -3,12 +3,15 @@ deadlines, and per-system circuit breakers — every refusal typed,
 nothing unbounded, breakers recovering half-open → closed."""
 
 import asyncio
+import time
 
 import pytest
 from serveutil import run
 
+import repro.serve.service as service_module
 from repro.serve import ServeError
 from repro.serve.models import FleetStatus
+from repro.serve.service import INLINE_LIMIT
 
 CONFIG = "ft_min_word_len = 5\n"
 
@@ -106,6 +109,41 @@ class TestDeadlines:
         error, status = run(scenario())
         assert error.code == "deadline"
         assert status.resilience["deadline_timeouts"] == 1
+
+    @pytest.mark.parametrize(
+        "config, timed_out",
+        [(CONFIG, False), (CONFIG * (INLINE_LIMIT // len(CONFIG) + 1), True)],
+        ids=["inline", "pooled"],
+    )
+    def test_deadline_applies_to_pooled_checks_only(
+        self, make_service, monkeypatch, config, timed_out
+    ):
+        """An inline check never yields to the loop, so a deadline
+        cannot cut it short: the inline limit bounds it instead.  A
+        pooled check is awaited, and the deadline ends the wait."""
+        real = service_module.validate_config
+
+        def slow(checker, config_text):
+            time.sleep(0.2)
+            return real(checker, config_text)
+
+        monkeypatch.setattr(service_module, "validate_config", slow)
+
+        async def scenario():
+            service = make_service(
+                systems=["mysql"], deadline_seconds=0.05
+            )
+            await service.start()
+            try:
+                try:
+                    await service.check_config("mysql", config)
+                except ServeError as exc:
+                    assert exc.code == "deadline"
+                return service.status().resilience["deadline_timeouts"]
+            finally:
+                await service.close()
+
+        assert run(scenario()) == int(timed_out)
 
     def test_fast_checks_unaffected_by_a_generous_deadline(
         self, make_service
